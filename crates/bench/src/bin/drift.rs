@@ -8,7 +8,9 @@
 //! drift --json   # additionally dump BENCH_drift.json
 //! ```
 //!
-//! Two [`LotStream`]s consume bit-identical drifting lots (the lot
+//! At each of two scales — a mid-scale configuration and the paper's own
+//! size (`ExperimentConfig::default()`, 10⁵ KDE samples) — two
+//! [`LotStream`]s consume bit-identical drifting lots (the lot
 //! measurements are a pure function of the seed, independent of the
 //! recalibration policy). The first keeps `refit_limit` high so every
 //! drift alarm is absorbed by the incremental tier (warm-started SMO,
@@ -31,19 +33,43 @@ use sidefp_obs::RunContext;
 /// Lots per stream after the calibration lot.
 const LOTS: usize = 8;
 
-/// A mid-scale configuration: large enough that the S3–S5 refit work
-/// (KMM mean-shift population, KDE fit + sampling, three OCSVM solves)
-/// dominates the spans, small enough for a sub-minute gate.
-fn config(refit_limit: f64) -> ExperimentConfig {
-    let mut cfg = ExperimentConfig {
-        chips: 16,
-        mc_samples: 150,
-        kde_samples: 3000,
-        seed: 99,
-        ..Default::default()
-    };
-    cfg.recalibration.refit_limit = refit_limit;
-    cfg
+/// One benchmarked problem size.
+#[derive(Clone, Copy)]
+enum Scale {
+    /// Large enough that the S3–S5 refit work (KMM mean-shift
+    /// population, KDE fit + sampling, three OCSVM solves) dominates the
+    /// spans, small enough for a sub-minute gate.
+    Mid,
+    /// The paper's configuration: every incremental lot also re-scores
+    /// the 10⁵-row S5 population in the boundary self-check.
+    Paper,
+}
+
+impl Scale {
+    fn name(self) -> &'static str {
+        match self {
+            Scale::Mid => "mid",
+            Scale::Paper => "paper",
+        }
+    }
+
+    fn config(self, refit_limit: f64) -> ExperimentConfig {
+        let mut cfg = match self {
+            Scale::Mid => ExperimentConfig {
+                chips: 16,
+                mc_samples: 150,
+                kde_samples: 3000,
+                seed: 99,
+                ..Default::default()
+            },
+            Scale::Paper => ExperimentConfig {
+                kde_samples: 100_000,
+                ..Default::default()
+            },
+        };
+        cfg.recalibration.refit_limit = refit_limit;
+        cfg
+    }
 }
 
 /// A drift plan that alarms on essentially every lot: a slow ramp from
@@ -75,9 +101,13 @@ struct PolicyReport {
 
 /// Streams `LOTS` drifted lots under one policy, returning the health
 /// counters and the accumulated recalibration-span time.
-fn run_policy(refit_limit: f64, span_key: &str) -> Result<PolicyReport, sidefp_core::CoreError> {
+fn run_policy(
+    scale: Scale,
+    refit_limit: f64,
+    span_key: &str,
+) -> Result<PolicyReport, sidefp_core::CoreError> {
     let obs = RunContext::new();
-    let experiment = PaperExperiment::new(config(refit_limit))?;
+    let experiment = PaperExperiment::new(scale.config(refit_limit))?;
     let mut stream = experiment.stream_observed(drift(), &obs)?;
     let start = Instant::now();
     for _ in 0..=LOTS {
@@ -91,12 +121,30 @@ fn run_policy(refit_limit: f64, span_key: &str) -> Result<PolicyReport, sidefp_c
     })
 }
 
-fn run() -> Result<(), Box<dyn std::error::Error>> {
-    let json = std::env::args().any(|a| a == "--json");
+/// One scale's measured costs.
+struct ScaleRow {
+    scale: Scale,
+    recals: usize,
+    refits: usize,
+    inc_ms: f64,
+    refit_ms: f64,
+}
 
-    eprintln!("streaming {} drifted lots under each policy ...", LOTS + 1);
-    let incremental = run_policy(1e6, "recalibrate.incremental")?;
-    let full = run_policy(0.0, "recalibrate.full_refit")?;
+impl ScaleRow {
+    fn ratio(&self) -> f64 {
+        self.refit_ms / self.inc_ms
+    }
+}
+
+/// Streams both policies at one scale and prints its cost table.
+fn measure(scale: Scale) -> Result<ScaleRow, Box<dyn std::error::Error>> {
+    eprintln!(
+        "[{}] streaming {} drifted lots under each policy ...",
+        scale.name(),
+        LOTS + 1
+    );
+    let incremental = run_policy(scale, 1e6, "recalibrate.incremental")?;
+    let full = run_policy(scale, 0.0, "recalibrate.full_refit")?;
 
     let recals = incremental.health.recalibrated;
     // The calibration lot is itself a full refit under the same span, so
@@ -104,41 +152,71 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     let refits = full.health.refitted;
     if recals < 3 {
         return Err(format!(
-            "drift plan did not exercise the incremental tier: {:?}",
+            "[{}] drift plan did not exercise the incremental tier: {:?}",
+            scale.name(),
             incremental.health
         )
         .into());
     }
     if refits < 3 {
-        return Err(format!("drift plan did not force full refits: {:?}", full.health).into());
+        return Err(format!(
+            "[{}] drift plan did not force full refits: {:?}",
+            scale.name(),
+            full.health
+        )
+        .into());
     }
 
-    let inc_ms = incremental.span_ms / recals as f64;
-    let refit_ms = full.span_ms / refits as f64;
-    let ratio = refit_ms / inc_ms;
-
-    println!("recalibration cost per drift alarm (lot stream, {LOTS} lots + calibration):");
+    let row = ScaleRow {
+        scale,
+        recals,
+        refits,
+        inc_ms: incremental.span_ms / recals as f64,
+        refit_ms: full.span_ms / refits as f64,
+    };
+    println!(
+        "[{}] recalibration cost per drift alarm (lot stream, {LOTS} lots + calibration):",
+        scale.name()
+    );
     println!(
         "  incremental  {:>4} actions  {:>9.2} ms total  {:>8.2} ms/action  (stream wall {:.0} ms)",
-        recals, incremental.span_ms, inc_ms, incremental.wall_ms
+        recals, incremental.span_ms, row.inc_ms, incremental.wall_ms
     );
     println!(
         "  full refit   {:>4} actions  {:>9.2} ms total  {:>8.2} ms/action  (stream wall {:.0} ms)",
-        refits, full.span_ms, refit_ms, full.wall_ms
+        refits, full.span_ms, row.refit_ms, full.wall_ms
     );
-    println!("  cost ratio   full/incremental = {ratio:.1}x");
+    println!("  cost ratio   full/incremental = {:.1}x", row.ratio());
+    Ok(row)
+}
+
+fn run() -> Result<(), Box<dyn std::error::Error>> {
+    let json = std::env::args().any(|a| a == "--json");
+    let rows = [measure(Scale::Mid)?, measure(Scale::Paper)?];
 
     if json {
+        let rows: Vec<String> = rows
+            .iter()
+            .map(|r| {
+                format!(
+                    "    {{\n      \"scale\": \"{}\",\n      \"kde_samples\": {},\n      \
+                     \"recalibrated\": {},\n      \"refitted\": {},\n      \
+                     \"incremental_ms_per_action\": {:.3},\n      \
+                     \"full_refit_ms_per_action\": {:.3},\n      \"cost_ratio\": {:.3}\n    }}",
+                    r.scale.name(),
+                    r.scale.config(0.0).kde_samples,
+                    r.recals,
+                    r.refits,
+                    r.inc_ms,
+                    r.refit_ms,
+                    r.ratio(),
+                )
+            })
+            .collect();
         let payload = format!(
-            "{{\n  \"bench\": \"drift\",\n  \"lots\": {},\n  \"recalibrated\": {},\n  \
-             \"refitted\": {},\n  \"incremental_ms_per_action\": {:.3},\n  \
-             \"full_refit_ms_per_action\": {:.3},\n  \"cost_ratio\": {:.3}\n}}\n",
+            "{{\n  \"bench\": \"drift\",\n  \"lots\": {},\n  \"scales\": [\n{}\n  ]\n}}\n",
             LOTS + 1,
-            recals,
-            refits,
-            inc_ms,
-            refit_ms,
-            ratio,
+            rows.join(",\n"),
         );
         std::fs::write("BENCH_drift.json", payload)?;
         println!("wrote BENCH_drift.json");

@@ -3,7 +3,9 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use sidefp_linalg::Matrix;
-use sidefp_stats::{DetectionLabel, Kernel, OneClassSvm, OneClassSvmConfig, StandardScaler};
+use sidefp_stats::{
+    DetectionLabel, Kernel, OneClassSvm, OneClassSvmConfig, StandardScaler, StatsError,
+};
 
 use crate::config::BoundaryConfig;
 use crate::dataset::DuttPopulation;
@@ -133,16 +135,17 @@ impl TrustedBoundary {
         max_iter: usize,
     ) -> Result<(StandardScaler, Matrix, OneClassSvmConfig), CoreError> {
         let scaler = StandardScaler::fit(trusted)?;
-        let z = scaler.transform(trusted)?;
-
-        let train = if z.nrows() > config.train_cap {
+        // Draw the subsample before standardizing: the transform is
+        // elementwise, so standardizing only the selected rows gives the
+        // same bits without a population-sized temporary.
+        let train = if trusted.nrows() > config.train_cap {
             let mut rng = StdRng::seed_from_u64(seed);
             let indices: Vec<usize> = (0..config.train_cap)
-                .map(|_| rng.random_range(0..z.nrows()))
+                .map(|_| rng.random_range(0..trusted.nrows()))
                 .collect();
-            z.select_rows(&indices)
+            scaler.transform(&trusted.select_rows(&indices))?
         } else {
-            z
+            scaler.transform(trusted)?
         };
 
         let kernel = match config.gamma {
@@ -243,17 +246,62 @@ impl TrustedBoundary {
         Ok(self.svm.decision_function(scratch)?)
     }
 
+    /// Batched form of [`TrustedBoundary::decision`]: the one entry point
+    /// for evaluating a boundary on many fingerprints. Every row of
+    /// `fingerprints` is standardized into the caller's scratch `z`
+    /// (`nrows × dim`, row-major) with the exact arithmetic of
+    /// [`StandardScaler::transform_sample_into`], then scored by
+    /// [`OneClassSvm::decision_flat_into`] — packed GEMM with the fused RBF
+    /// epilogue, in parallel — into `out`. Values are bit-identical to
+    /// [`TrustedBoundary::decision`] row by row at any thread count, and
+    /// the steady state performs zero heap allocations.
+    ///
+    /// # Errors
+    ///
+    /// - A dimension-mismatch error when `fingerprints` has the wrong
+    ///   width (the same error [`TrustedBoundary::decision`] returns for a
+    ///   wrong-length row), or `z`/`out` have the wrong length.
+    /// - The invalid-parameter error of the pointwise path for a
+    ///   non-finite fingerprint.
+    pub fn decision_rows_into(
+        &self,
+        fingerprints: &Matrix,
+        z: &mut [f64],
+        out: &mut [f64],
+    ) -> Result<(), CoreError> {
+        let d = self.scaler.dim();
+        let n = fingerprints.nrows();
+        for (expected, got) in [(d, fingerprints.ncols()), (n * d, z.len()), (n, out.len())] {
+            if expected != got {
+                return Err(StatsError::DimensionMismatch { expected, got }.into());
+            }
+        }
+        for (row, zr) in fingerprints.rows_iter().zip(z.chunks_exact_mut(d)) {
+            self.scaler.transform_sample_into(row, zr)?;
+        }
+        Ok(self.svm.decision_flat_into(z, out)?)
+    }
+
+    /// Allocating convenience over [`TrustedBoundary::decision_rows_into`]:
+    /// one decision value per row of `fingerprints`.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`TrustedBoundary::decision_rows_into`].
+    pub fn decision_rows(&self, fingerprints: &Matrix) -> Result<Vec<f64>, CoreError> {
+        let mut z = vec![0.0; fingerprints.nrows() * self.scaler.dim()];
+        let mut out = vec![0.0; fingerprints.nrows()];
+        self.decision_rows_into(fingerprints, &mut z, &mut out)?;
+        Ok(out)
+    }
+
     /// Classifies a fingerprint.
     ///
     /// # Errors
     ///
     /// Same as [`TrustedBoundary::decision`].
     pub fn classify(&self, fingerprint: &[f64]) -> Result<DetectionLabel, CoreError> {
-        Ok(if self.decision(fingerprint)? >= 0.0 {
-            DetectionLabel::TrojanFree
-        } else {
-            DetectionLabel::TrojanInfested
-        })
+        Ok(label(self.decision(fingerprint)?))
     }
 
     /// Evaluates the boundary on a labeled DUTT population, producing the
@@ -264,11 +312,20 @@ impl TrustedBoundary {
     /// Propagates classification errors.
     pub fn evaluate(&self, population: &DuttPopulation) -> Result<ConfusionCounts, CoreError> {
         let mut counts = ConfusionCounts::new();
-        for (i, row) in population.fingerprints().rows_iter().enumerate() {
-            let predicted = self.classify(row)?;
-            counts.record(population.labels()[i], predicted);
+        let decisions = self.decision_rows(population.fingerprints())?;
+        for (truth, d) in population.labels().iter().zip(decisions) {
+            counts.record(*truth, label(d));
         }
         Ok(counts)
+    }
+}
+
+/// Verdict of a decision value: the boundary itself counts as trusted.
+fn label(decision: f64) -> DetectionLabel {
+    if decision >= 0.0 {
+        DetectionLabel::TrojanFree
+    } else {
+        DetectionLabel::TrojanInfested
     }
 }
 
@@ -398,6 +455,101 @@ mod tests {
         // One iteration cannot absorb a two-sigma shift: the budget signal
         // must fire so the recalibration ladder can escalate.
         assert!(starved.solve_iterations() >= 1);
+    }
+
+    /// Bit patterns of the batched and pointwise decisions on `queries`.
+    fn batched_and_pointwise_bits(b: &TrustedBoundary, queries: &Matrix) -> (Vec<u64>, Vec<u64>) {
+        let mut z = vec![0.0; queries.nrows() * queries.ncols()];
+        let mut out = vec![0.0; queries.nrows()];
+        b.decision_rows_into(queries, &mut z, &mut out).unwrap();
+        let batched = out.iter().map(|v| v.to_bits()).collect();
+        let pointwise = queries
+            .rows_iter()
+            .map(|row| b.decision(row).unwrap().to_bits())
+            .collect();
+        (batched, pointwise)
+    }
+
+    #[test]
+    fn decision_rows_into_is_bit_identical_to_pointwise() {
+        let train = blob(0.0, 400, 21);
+        let exact = TrustedBoundary::fit("B5", &train, &BoundaryConfig::default(), 21).unwrap();
+        let rff_cfg = BoundaryConfig {
+            approx: sidefp_stats::KernelApprox::Rff { features: 64 },
+            ..Default::default()
+        };
+        let rff = TrustedBoundary::fit("B5", &train, &rff_cfg, 21).unwrap();
+        // Row counts around the 64-row GEMM chunk, plus an empty batch and
+        // a B5-like many-chunk batch.
+        for n in [0, 1, 63, 64, 65, 1500] {
+            let queries = blob(0.5, n, 100 + n as u64);
+            for b in [&exact, &rff] {
+                for threads in [1, 2] {
+                    let (batched, pointwise) = sidefp_parallel::with_threads(threads, || {
+                        batched_and_pointwise_bits(b, &queries)
+                    });
+                    assert_eq!(batched, pointwise, "n={n} threads={threads}");
+                }
+            }
+        }
+        let queries = blob(0.0, 30, 22);
+        assert_eq!(
+            exact.decision_rows(&queries).unwrap(),
+            queries
+                .rows_iter()
+                .map(|row| exact.decision(row).unwrap())
+                .collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn decision_rows_into_errors_match_the_pointwise_path() {
+        let b =
+            TrustedBoundary::fit("B5", &blob(0.0, 80, 23), &BoundaryConfig::default(), 23).unwrap();
+        let same_kind = |batch: CoreError, point: CoreError| match (batch, point) {
+            (
+                CoreError::Stats(StatsError::DimensionMismatch {
+                    expected: e1,
+                    got: g1,
+                }),
+                CoreError::Stats(StatsError::DimensionMismatch {
+                    expected: e2,
+                    got: g2,
+                }),
+            ) => assert_eq!((e1, g1), (e2, g2)),
+            (
+                CoreError::Stats(StatsError::InvalidParameter { name: n1, .. }),
+                CoreError::Stats(StatsError::InvalidParameter { name: n2, .. }),
+            ) => assert_eq!(n1, n2),
+            (batch, point) => panic!("batch {batch:?} vs pointwise {point:?}"),
+        };
+
+        let mut nan = blob(0.0, 5, 24);
+        nan[(3, 1)] = f64::NAN;
+        let (mut z, mut out) = (vec![0.0; 10], vec![0.0; 5]);
+        same_kind(
+            b.decision_rows_into(&nan, &mut z, &mut out).unwrap_err(),
+            b.decision(nan.row(3)).unwrap_err(),
+        );
+
+        let wide = Matrix::zeros(4, 3);
+        let (mut z, mut out) = (vec![0.0; 12], vec![0.0; 4]);
+        same_kind(
+            b.decision_rows_into(&wide, &mut z, &mut out).unwrap_err(),
+            b.decision(wide.row(0)).unwrap_err(),
+        );
+
+        let ok = blob(0.0, 4, 25);
+        for (z_len, out_len) in [(7, 4), (9, 4), (8, 3), (8, 5)] {
+            let (mut z, mut out) = (vec![0.0; z_len], vec![0.0; out_len]);
+            assert!(
+                matches!(
+                    b.decision_rows_into(&ok, &mut z, &mut out),
+                    Err(CoreError::Stats(StatsError::DimensionMismatch { .. }))
+                ),
+                "z {z_len} out {out_len}"
+            );
+        }
     }
 
     #[test]

@@ -657,17 +657,16 @@ enum IncrementalResult {
     },
 }
 
-/// Fraction of `data` rows the boundary rejects.
+/// Fraction of `data` rows the boundary rejects, scored in one batch.
 fn rejection_rate(boundary: &TrustedBoundary, data: &Matrix) -> Result<f64, CoreError> {
     if data.nrows() == 0 {
         return Ok(0.0);
     }
-    let mut rejected = 0usize;
-    for row in data.rows_iter() {
-        if boundary.decision(row)? < 0.0 {
-            rejected += 1;
-        }
-    }
+    let rejected = boundary
+        .decision_rows(data)?
+        .iter()
+        .filter(|d| **d < 0.0)
+        .count();
     Ok(rejected as f64 / data.nrows() as f64)
 }
 
@@ -798,6 +797,25 @@ mod tests {
     fn boundaries_before_calibration_panic() {
         let stream = LotStream::new(tiny_config(), DriftPlan::none()).unwrap();
         let _ = stream.boundaries();
+    }
+
+    #[test]
+    fn batched_rejection_rate_matches_a_pointwise_count() {
+        // A B5-sized boundary: the enhanced-boundary config at its full
+        // training cap, checked on a population several times larger.
+        let config = ExperimentConfig::default();
+        let mvn = sidefp_stats::MultivariateNormal::independent(vec![0.0; 6], &[1.0; 6]).unwrap();
+        let mut rng = StdRng::seed_from_u64(31);
+        let s5 = mvn.sample_matrix(&mut rng, 4000);
+        let b5 = TrustedBoundary::fit("B5", &s5, &config.enhanced_boundary, 31).unwrap();
+        let pointwise = s5
+            .rows_iter()
+            .filter(|row| b5.decision(row).unwrap() < 0.0)
+            .count();
+        assert!(pointwise > 0);
+        let rate = rejection_rate(&b5, &s5).unwrap();
+        assert_eq!(rate.to_bits(), (pointwise as f64 / 4000.0).to_bits());
+        assert_eq!(rejection_rate(&b5, &Matrix::zeros(0, 6)).unwrap(), 0.0);
     }
 
     #[test]

@@ -132,10 +132,8 @@ pub fn tune_gamma(
             },
             seed,
         )?;
-        let accepted = holdout
-            .rows_iter()
-            .map(|row| candidate.decision(row))
-            .collect::<Result<Vec<f64>, CoreError>>()?
+        let accepted = candidate
+            .decision_rows(&holdout)?
             .iter()
             .filter(|d| **d >= 0.0)
             .count();

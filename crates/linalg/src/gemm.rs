@@ -209,6 +209,11 @@ pub fn syrk_fused(a: &Matrix, epilogue: &Epilogue<'_>, out: &mut Matrix) {
 /// with `d²ᵢⱼ = (‖xᵢ‖² + ‖svⱼ‖² − 2⟨xᵢ, svⱼ⟩).max(0)` — the decision sum
 /// of a kernel-expansion one-class SVM over every row of `x`.
 ///
+/// `x` is a row-major buffer of `out.len()` query rows, each
+/// `sv.ncols()` wide (a [`Matrix`] passes `as_slice()`), so callers can
+/// score rows standardized into their own scratch without building a
+/// matrix around it.
+///
 /// Unlike [`gemm_nt_fused`], the kernel block is never materialized at
 /// full size (for a scoring batch that would be an `n×nsv` matrix written
 /// and re-read through main memory). `sv` is packed once, query rows
@@ -226,19 +231,18 @@ pub fn syrk_fused(a: &Matrix, epilogue: &Epilogue<'_>, out: &mut Matrix) {
 ///
 /// # Panics
 ///
-/// Panics when `x` and `sv` column counts differ, `coeffs.len() !=
-/// sv.nrows()`, or `out.len() != x.nrows()`.
-pub fn rbf_expansion_rows(x: &Matrix, sv: &Matrix, gamma: f64, coeffs: &[f64], out: &mut [f64]) {
-    let n = x.nrows();
-    let d = x.ncols();
+/// Panics when `x.len() != out.len() * sv.ncols()` or `coeffs.len() !=
+/// sv.nrows()`.
+pub fn rbf_expansion_rows(x: &[f64], sv: &Matrix, gamma: f64, coeffs: &[f64], out: &mut [f64]) {
+    let n = out.len();
+    let d = sv.ncols();
     let nsv = sv.nrows();
-    assert_eq!(sv.ncols(), d, "rbf_expansion: dimension mismatch");
+    assert_eq!(x.len(), n * d, "rbf_expansion: query buffer shape mismatch");
     assert_eq!(
         coeffs.len(),
         nsv,
         "rbf_expansion: coefficient count mismatch"
     );
-    assert_eq!(out.len(), n, "rbf_expansion: output length mismatch");
     if n == 0 {
         return;
     }
@@ -257,8 +261,8 @@ pub fn rbf_expansion_rows(x: &Matrix, sv: &Matrix, gamma: f64, coeffs: &[f64], o
     // Row norms with the micro-kernel's own ascending fold, so the fused
     // diagonal-style cancellations match the pointwise expansion exactly.
     let mut x_norms = GEMM_WS.with(|ws| ws.borrow_mut().take(n));
-    for (i, v) in x_norms.iter_mut().enumerate() {
-        *v = self_dot_fold(x.row(i));
+    for (v, row) in x_norms.iter_mut().zip(x.chunks_exact(d)) {
+        *v = self_dot_fold(row);
     }
     let mut sv_norms = GEMM_WS.with(|ws| ws.borrow_mut().take(nsv));
     for (j, v) in sv_norms.iter_mut().enumerate() {
@@ -305,7 +309,7 @@ pub fn rbf_expansion_rows(x: &Matrix, sv: &Matrix, gamma: f64, coeffs: &[f64], o
             let poff = npanels_j * NR * kc0;
             let mut apack = GEMM_WS.with(|ws| ws.borrow_mut().take(npanels_i * kc_len * MR));
             for li in 0..rows {
-                let arow = &x.row(row0 + li)[kc0..kc0 + kc_len];
+                let arow = &x[(row0 + li) * d + kc0..(row0 + li) * d + kc0 + kc_len];
                 let base = (li / MR) * kc_len * MR + (li % MR);
                 for (kk, &v) in arow.iter().enumerate() {
                     apack[base + kk * MR] = v;
@@ -699,7 +703,7 @@ mod tests {
             let coeffs: Vec<f64> = (0..nsv).map(|j| 1.0 / (j + 1) as f64).collect();
             let gamma = 0.7;
             let mut got = vec![0.0; n];
-            rbf_expansion_rows(&x, &sv, gamma, &coeffs, &mut got);
+            rbf_expansion_rows(x.as_slice(), &sv, gamma, &coeffs, &mut got);
             for i in 0..n {
                 let xn = self_dot_fold(x.row(i));
                 let mut want = 0.0;
@@ -728,13 +732,13 @@ mod tests {
         let coeffs: Vec<f64> = (0..41).map(|j| ((j as f64) * 0.3).cos()).collect();
         let reference = sidefp_parallel::with_threads(1, || {
             let mut out = vec![0.0; 150];
-            rbf_expansion_rows(&x, &sv, 0.9, &coeffs, &mut out);
+            rbf_expansion_rows(x.as_slice(), &sv, 0.9, &coeffs, &mut out);
             out
         });
         for threads in [2, 3, 8] {
             let got = sidefp_parallel::with_threads(threads, || {
                 let mut out = vec![0.0; 150];
-                rbf_expansion_rows(&x, &sv, 0.9, &coeffs, &mut out);
+                rbf_expansion_rows(x.as_slice(), &sv, 0.9, &coeffs, &mut out);
                 out
             });
             for (a, b) in got.iter().zip(&reference) {
@@ -749,18 +753,18 @@ mod tests {
         let x = toy(3, 2, 0.1);
         let sv = Matrix::zeros(0, 2);
         let mut out = vec![9.0; 3];
-        rbf_expansion_rows(&x, &sv, 1.0, &[], &mut out);
+        rbf_expansion_rows(x.as_slice(), &sv, 1.0, &[], &mut out);
         assert_eq!(out, vec![0.0; 3]);
         // Zero-dimensional rows: every kernel value is exp(0) = 1.
         let x = Matrix::zeros(2, 0);
         let sv = Matrix::zeros(3, 0);
         let mut out = vec![0.0; 2];
-        rbf_expansion_rows(&x, &sv, 1.0, &[0.5, 0.25, 0.125], &mut out);
+        rbf_expansion_rows(x.as_slice(), &sv, 1.0, &[0.5, 0.25, 0.125], &mut out);
         assert_eq!(out, vec![0.875; 2]);
         // No query rows: nothing to write.
         let x = Matrix::zeros(0, 4);
         let sv = toy(2, 4, 0.8);
-        rbf_expansion_rows(&x, &sv, 1.0, &[1.0, 1.0], &mut []);
+        rbf_expansion_rows(x.as_slice(), &sv, 1.0, &[1.0, 1.0], &mut []);
     }
 
     #[test]

@@ -102,13 +102,22 @@ pub(crate) fn check_finite_matrix(
     name: &'static str,
     m: &sidefp_linalg::Matrix,
 ) -> Result<(), StatsError> {
-    if let Some(pos) = m.as_slice().iter().position(|v| !v.is_finite()) {
-        let (row, col) = (pos / m.ncols().max(1), pos % m.ncols().max(1));
+    check_finite_rows(name, m.as_slice(), m.ncols())
+}
+
+/// [`check_finite_matrix`] over a row-major buffer of `ncols`-wide rows.
+pub(crate) fn check_finite_rows(
+    name: &'static str,
+    data: &[f64],
+    ncols: usize,
+) -> Result<(), StatsError> {
+    if let Some(pos) = data.iter().position(|v| !v.is_finite()) {
+        let (row, col) = (pos / ncols.max(1), pos % ncols.max(1));
         return Err(StatsError::InvalidParameter {
             name,
             reason: format!(
                 "non-finite entry {} at ({row}, {col}); sanitize measurements first",
-                m.as_slice()[pos]
+                data[pos]
             ),
         });
     }

@@ -5,7 +5,8 @@ use crate::approx::{self, DecisionParts, KernelApprox, KernelFeatureMap};
 use crate::qp::{SmoConfig, SmoSolver};
 use crate::state::{SvmDecisionState, SvmState};
 use crate::{
-    check_finite_matrix, check_finite_slice, GramMatrix, Kernel, KernelRowCache, StatsError,
+    check_finite_matrix, check_finite_rows, check_finite_slice, GramMatrix, Kernel, KernelRowCache,
+    StatsError,
 };
 
 /// Relaxation factor for accepting a best-effort SMO solution: a KKT gap
@@ -439,13 +440,8 @@ impl OneClassSvm {
     }
 
     /// Allocation-free form of [`OneClassSvm::decision_rows`]: writes the
-    /// decision value of every row of `x` into `out`. RBF kernel
-    /// expansions run through the chunked packed-GEMM driver
-    /// ([`gemm::rbf_expansion_rows`]), whose scratch comes from the
-    /// thread-local panel pool; every other representation uses the
-    /// allocation-free pointwise sum. Either way the steady state performs
-    /// zero heap allocations and values are bit-identical to
-    /// [`OneClassSvm::decision_rows`].
+    /// decision value of every row of `x` into `out`, through
+    /// [`OneClassSvm::decision_flat_into`].
     ///
     /// # Errors
     ///
@@ -465,7 +461,34 @@ impl OneClassSvm {
                 got: out.len(),
             });
         }
-        check_finite_matrix("x", x)?;
+        self.decision_flat_into(x.as_slice(), out)
+    }
+
+    /// Decision values of `out.len()` query rows stored row-major in `x`
+    /// (each [`OneClassSvm::input_dim`] wide) — the batch scoring kernel
+    /// behind [`OneClassSvm::decision_rows_into`], taking the rows as a
+    /// flat buffer so callers can score caller-owned scratch. RBF kernel
+    /// expansions run through the chunked packed-GEMM driver
+    /// ([`gemm::rbf_expansion_rows`]), whose scratch comes from the
+    /// thread-local panel pool; every other representation uses the
+    /// allocation-free pointwise sum. Either way the steady state performs
+    /// zero heap allocations and values are bit-identical to
+    /// [`OneClassSvm::decision_function`] row by row.
+    ///
+    /// # Errors
+    ///
+    /// - [`StatsError::DimensionMismatch`] if `x.len() != out.len() ·
+    ///   input_dim`.
+    /// - [`StatsError::InvalidParameter`] for non-finite query entries.
+    pub fn decision_flat_into(&self, x: &[f64], out: &mut [f64]) -> Result<(), StatsError> {
+        let d = self.input_dim;
+        if x.len() != out.len() * d {
+            return Err(StatsError::DimensionMismatch {
+                expected: out.len() * d,
+                got: x.len(),
+            });
+        }
+        check_finite_rows("x", x, d)?;
         if let (DecisionModel::KernelExpansion { points, coeffs }, Kernel::Rbf { gamma }) =
             (&self.model, self.kernel)
         {
@@ -478,8 +501,8 @@ impl OneClassSvm {
             }
             return Ok(());
         }
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = self.decision_value(x.row(i));
+        for (o, row) in out.iter_mut().zip(x.chunks_exact(d)) {
+            *o = self.decision_value(row);
         }
         Ok(())
     }
@@ -868,6 +891,11 @@ mod tests {
             .decision_rows_into(&Matrix::zeros(2, 3), &mut out)
             .is_err());
         assert!(svm.decision_rows_into(&queries, &mut [0.0; 2]).is_err());
+        let mut flat = vec![0.0; queries.nrows()];
+        svm.decision_flat_into(queries.as_slice(), &mut flat)
+            .unwrap();
+        assert_eq!(flat, batch);
+        assert!(svm.decision_flat_into(&[0.0; 5], &mut [0.0; 2]).is_err());
         let mut bad = queries.clone();
         bad[(0, 0)] = f64::NAN;
         assert!(svm.decision_rows_into(&bad, &mut out).is_err());

@@ -90,6 +90,26 @@ if ! awk '
     exit 1
 fi
 
+# Boundaries have one batch path (TrustedBoundary::decision_rows_into:
+# standardize into scratch, then packed GEMM with the fused RBF epilogue).
+# Scoring many rows through the single-row `decision`/`classify` API
+# allocates per row and skips the GEMM, so core may only call them from
+# boundary.rs itself (where they are defined), tests and doc lines.
+mapfile -t core_sources < <(find crates/core/src -name '*.rs' ! -name boundary.rs | sort)
+if ! awk '
+    FNR == 1 { in_tests = 0 }
+    /#\[cfg\(test\)\]/ { in_tests = 1 }
+    /^[[:space:]]*\/\// { next }
+    !in_tests && (/\.decision\(/ || /\.classify\(/) {
+        found = 1
+        print FILENAME ":" FNR ": " $0
+    }
+    END { exit found }
+' "${core_sources[@]}"; then
+    echo "error: single-row boundary decision in sidefp-core (use TrustedBoundary::decision_rows_into)" >&2
+    exit 1
+fi
+
 # Observability is per-run (RunContext); the pipeline crates must not
 # grow process-global mutable state.
 pattern='static[[:space:]]+[A-Z0-9_]+[[:space:]]*:[[:space:]]*[A-Za-z0-9_:]*(Mutex|RwLock|Atomic[A-Za-z0-9]+|OnceLock|OnceCell|LazyLock|RefCell|UnsafeCell)'
