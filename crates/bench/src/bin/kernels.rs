@@ -1,5 +1,5 @@
 //! Large-`n` kernel layer scaling bench: exact versus sub-quadratic
-//! approximation paths (Nyström, random Fourier features, binned KDE).
+//! approximation paths (Nyström, binned KDE).
 //!
 //! Usage:
 //!
@@ -59,7 +59,6 @@ struct SizeReport {
     n: usize,
     ocsvm_exact_ms: Option<f64>,
     ocsvm_nystrom_ms: f64,
-    ocsvm_rff_ms: f64,
     kmm_exact_ms: Option<f64>,
     kmm_lowrank_ms: f64,
     kde_fit_ms: f64,
@@ -106,12 +105,6 @@ fn bench_size(n: usize, reps: usize) -> Result<SizeReport, Box<dyn std::error::E
         or_die(OneClassSvm::fit(
             &data,
             &svm_cfg(KernelApprox::Nystrom { rank: 128 }),
-        ))
-    });
-    let (ocsvm_rff_ms, _) = time_min_ms(reps, || {
-        or_die(OneClassSvm::fit(
-            &data,
-            &svm_cfg(KernelApprox::Rff { features: 256 }),
         ))
     });
 
@@ -170,7 +163,6 @@ fn bench_size(n: usize, reps: usize) -> Result<SizeReport, Box<dyn std::error::E
         n,
         ocsvm_exact_ms,
         ocsvm_nystrom_ms,
-        ocsvm_rff_ms,
         kmm_exact_ms,
         kmm_lowrank_ms,
         kde_fit_ms,
@@ -201,11 +193,10 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("kernel layer scaling (ms, min over reps; '-' = skipped):");
     println!(
-        "{:>7} {:>12} {:>12} {:>9} {:>12} {:>12} {:>10} {:>12} {:>12} {:>10}",
+        "{:>7} {:>12} {:>12} {:>12} {:>12} {:>10} {:>12} {:>12} {:>10}",
         "n",
         "svm_exact",
         "svm_nystrom",
-        "svm_rff",
         "kmm_exact",
         "kmm_lowrank",
         "kde_fit",
@@ -215,13 +206,12 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     );
     for r in &reports {
         println!(
-            "{:>7} {:>12} {:>12.1} {:>9.1} {:>12} {:>12.1} {:>10.1} {:>12} {:>12.2} {:>10.1}",
+            "{:>7} {:>12} {:>12.1} {:>12} {:>12.1} {:>10.1} {:>12} {:>12.2} {:>10.1}",
             r.n,
             r.ocsvm_exact_ms
                 .map(|v| format!("{v:.1}"))
                 .unwrap_or_else(|| "-".into()),
             r.ocsvm_nystrom_ms,
-            r.ocsvm_rff_ms,
             r.kmm_exact_ms
                 .map(|v| format!("{v:.1}"))
                 .unwrap_or_else(|| "-".into()),
@@ -237,10 +227,9 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     println!("speedups vs exact (same budgets):");
     for r in &reports {
         println!(
-            "  n={:<6} svm: nystrom {} rff {}   kde eval: binned {}",
+            "  n={:<6} svm: nystrom {}   kde eval: binned {}",
             r.n,
             ratio(r.ocsvm_exact_ms, r.ocsvm_nystrom_ms),
-            ratio(r.ocsvm_exact_ms, r.ocsvm_rff_ms),
             ratio(r.kde_dense_eval_ms, r.kde_binned_eval_ms),
         );
     }
@@ -252,14 +241,13 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             let _ = write!(
                 entries,
                 "    {{\n      \"n\": {},\n      \"ocsvm_exact_ms\": {},\n      \
-                 \"ocsvm_nystrom_ms\": {:.2},\n      \"ocsvm_rff_ms\": {:.2},\n      \
+                 \"ocsvm_nystrom_ms\": {:.2},\n      \
                  \"kmm_exact_ms\": {},\n      \"kmm_lowrank_ms\": {:.2},\n      \
                  \"kde_fit_ms\": {:.2},\n      \"kde_dense_eval_ms\": {},\n      \
                  \"kde_binned_build_ms\": {:.2},\n      \"kde_binned_eval_ms\": {:.2}\n    }}{sep}\n",
                 r.n,
                 json_opt(r.ocsvm_exact_ms),
                 r.ocsvm_nystrom_ms,
-                r.ocsvm_rff_ms,
                 json_opt(r.kmm_exact_ms),
                 r.kmm_lowrank_ms,
                 r.kde_fit_ms,

@@ -29,7 +29,10 @@
 //! space, sanitizer config and pinned thresholds, regressor bank,
 //! boundaries, KMM weights,
 //! KDE state, PCM medians); see the `encode_payload` / `decode_payload`
-//! pair for the exact layout. Every load path re-validates the decoded
+//! pair for the exact layout. Each boundary's SVM is stored as a kernel
+//! expansion (support or landmark points plus coefficients) behind a
+//! one-byte decision tag that is always `0`; any other tag is rejected
+//! with [`ArtifactError::Invalid`]. Every load path re-validates the decoded
 //! state through the same constructors the fit path uses
 //! ([`sidefp_stats::OneClassSvm::from_state`] and friends), so a tampered
 //! but checksum-consistent artifact still fails with a typed error
@@ -50,8 +53,7 @@ use sidefp_linalg::Matrix;
 use sidefp_stats::descriptive;
 use sidefp_stats::kde::AdaptiveKde;
 use sidefp_stats::{
-    KdeState, Kernel, OneClassSvm, RegressorState, ScalerState, StandardScaler, SvmDecisionState,
-    SvmState,
+    KdeState, Kernel, OneClassSvm, RegressorState, ScalerState, StandardScaler, SvmState,
 };
 
 use crate::boundary::TrustedBoundary;
@@ -71,6 +73,11 @@ pub const ARTIFACT_VERSION: u32 = 2;
 
 /// Byte count of the fixed header (magic + version + payload length).
 const HEADER_LEN: usize = 4 + 4 + 8;
+
+/// Decision-representation tag written before every SVM's kernel
+/// expansion. The expansion is the only representation; the byte stays in
+/// the layout so every version-2 artifact still loads unchanged.
+const SVM_EXPANSION_TAG: u8 = 0;
 
 /// The five trusted-boundary names, in artifact order.
 const BOUNDARY_NAMES: [&str; 5] = ["B1", "B2", "B3", "B4", "B5"];
@@ -823,25 +830,9 @@ fn encode_svm(w: &mut Writer, s: &SvmState) {
     w.usize(s.solve_iterations);
     encode_kernel(w, &s.kernel);
     w.f64s(&s.dual_alpha);
-    match &s.decision {
-        SvmDecisionState::Expansion { points, coeffs } => {
-            w.u8(0);
-            w.matrix(points);
-            w.f64s(coeffs);
-        }
-        SvmDecisionState::RandomFeatures {
-            omega,
-            offsets,
-            scale,
-            w: weights,
-        } => {
-            w.u8(1);
-            w.matrix(omega);
-            w.f64s(offsets);
-            w.f64(*scale);
-            w.f64s(weights);
-        }
-    }
+    w.u8(SVM_EXPANSION_TAG);
+    w.matrix(&s.points);
+    w.f64s(&s.coeffs);
 }
 
 fn decode_svm(r: &mut Reader<'_>) -> Result<SvmState, ArtifactError> {
@@ -852,25 +843,15 @@ fn decode_svm(r: &mut Reader<'_>) -> Result<SvmState, ArtifactError> {
     let solve_iterations = r.usize()?;
     let kernel = decode_kernel(r)?;
     let dual_alpha = r.f64s()?;
-    let decision = match r.u8()? {
-        0 => SvmDecisionState::Expansion {
-            points: r.matrix()?,
-            coeffs: r.f64s()?,
-        },
-        1 => SvmDecisionState::RandomFeatures {
-            omega: r.matrix()?,
-            offsets: r.f64s()?,
-            scale: r.f64()?,
-            w: r.f64s()?,
-        },
-        t => {
-            return Err(ArtifactError::Invalid {
-                what: format!("unknown SVM decision tag {t}"),
-            })
-        }
-    };
+    let tag = r.u8()?;
+    if tag != SVM_EXPANSION_TAG {
+        return Err(ArtifactError::Invalid {
+            what: format!("unknown SVM decision tag {tag}"),
+        });
+    }
     Ok(SvmState {
-        decision,
+        points: r.matrix()?,
+        coeffs: r.f64s()?,
         rho,
         kernel,
         input_dim,

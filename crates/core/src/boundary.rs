@@ -474,16 +474,16 @@ mod tests {
     fn decision_rows_into_is_bit_identical_to_pointwise() {
         let train = blob(0.0, 400, 21);
         let exact = TrustedBoundary::fit("B5", &train, &BoundaryConfig::default(), 21).unwrap();
-        let rff_cfg = BoundaryConfig {
-            approx: sidefp_stats::KernelApprox::Rff { features: 64 },
+        let nystrom_cfg = BoundaryConfig {
+            approx: sidefp_stats::KernelApprox::Nystrom { rank: 64 },
             ..Default::default()
         };
-        let rff = TrustedBoundary::fit("B5", &train, &rff_cfg, 21).unwrap();
+        let nystrom = TrustedBoundary::fit("B5", &train, &nystrom_cfg, 21).unwrap();
         // Row counts around the 64-row GEMM chunk, plus an empty batch and
         // a B5-like many-chunk batch.
         for n in [0, 1, 63, 64, 65, 1500] {
             let queries = blob(0.5, n, 100 + n as u64);
-            for b in [&exact, &rff] {
+            for b in [&exact, &nystrom] {
                 for threads in [1, 2] {
                     let (batched, pointwise) = sidefp_parallel::with_threads(threads, || {
                         batched_and_pointwise_bits(b, &queries)

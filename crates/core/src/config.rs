@@ -112,7 +112,7 @@ pub struct BoundaryConfig {
     /// Kernel evaluation strategy for the SVM solve. The default
     /// [`KernelApprox::Auto`] keeps populations within the exact-path
     /// threshold on exact Gram rows (value-identical to previous
-    /// releases) and switches to sub-quadratic low-rank approximations
+    /// releases) and switches to the sub-quadratic Nyström approximation
     /// above it — the knob to raise `train_cap` by orders of magnitude.
     pub approx: KernelApprox,
 }

@@ -385,9 +385,8 @@ where
 }
 
 /// Applies `f(row_index, row)` to every `ncols`-wide row of a row-major
-/// buffer, fanning contiguous row blocks out across the worker pool — the
-/// feature-map fan-out used by the kernel approximation layer's
-/// element-wise passes (e.g. the random-Fourier cosine map).
+/// buffer, fanning contiguous row blocks out across the worker pool — a
+/// fan-out for element-wise passes over a row-major matrix.
 ///
 /// Each row is visited exactly once and rows are disjoint, so as long as
 /// `f`'s output for a row depends only on that row and its index, the

@@ -3,39 +3,32 @@
 //! The paper's flow calibrates on `n = 1000` devices, where dense `n × n`
 //! Gram matrices are the fastest backing store. Foundry-scale populations
 //! (10⁵–10⁶ devices per lot) make everything quadratic in `n` explode, so
-//! this module provides the two classic low-rank routes around the Gram
-//! matrix, both reduced to an explicit feature map `Φ` (`n × r`, `r ≪ n`)
-//! with `k(x_i, x_j) ≈ ⟨φ_i, φ_j⟩`:
+//! this module provides one low-rank route around the Gram matrix, the
+//! Nyström method ([`KernelFeatureMap::nystrom`]): an explicit feature map
+//! `Φ` (`n × r`, `r ≪ n`) with `k(x_i, x_j) ≈ ⟨φ_i, φ_j⟩`, built from `r`
+//! landmark rows chosen deterministically via the SplitMix64 fork
+//! machinery, an eigendecomposition of the landmark Gram, and
+//! `Φ = K(X, L) · U Λ^{-1/2}`. It works for every kernel, and a
+//! feature-space decision function collapses exactly onto a kernel
+//! expansion over the landmarks.
 //!
-//! - **Nyström** ([`KernelFeatureMap::nystrom`]): `r` landmark rows chosen
-//!   deterministically via the SplitMix64 fork machinery, an
-//!   eigendecomposition of the landmark Gram, and
-//!   `Φ = K(X, L) · U Λ^{-1/2}`. Works for every kernel.
-//! - **Random Fourier features** ([`KernelFeatureMap::rff`]): Bochner
-//!   sampling of the RBF kernel's spectral measure,
-//!   `φ(x)_j = √(2/D)·cos(ω_jᵀx + b_j)` with per-feature deterministic
-//!   RNG streams. RBF only.
+//! Which route a solver takes is selected by [`KernelApprox`] — `Exact`
+//! preserves the historical dense path bit-for-bit, and the default `Auto`
+//! policy only leaves it above [`KernelApprox::AUTO_EXACT_LIMIT`] rows, so
+//! the paper-scale pipeline is untouched.
 //!
-//! Which route (if any) a solver takes is selected by [`KernelApprox`] —
-//! `Exact` preserves the historical dense path bit-for-bit, and the
-//! default `Auto` policy only leaves it above
-//! [`KernelApprox::AUTO_EXACT_LIMIT`] rows, so the paper-scale pipeline
-//! is untouched.
-//!
-//! Determinism: landmark selection, feature draws, and every reduction
-//! in this module are fixed functions of the input data and seed — never
-//! of thread count — so approximate results are bit-identical at any
-//! worker-pool size, exactly like the exact paths.
+//! Determinism: landmark selection and every reduction in this module are
+//! fixed functions of the input data and seed — never of thread count —
+//! so approximate results are bit-identical at any worker-pool size,
+//! exactly like the exact paths.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use sidefp_linalg::{lowrank, vecops, Matrix};
 
 use crate::qp::{select_pair, SmoConfig, SmoSolution, WorkingSetQ};
-use crate::{check_finite_matrix, GramMatrix, Kernel, MultivariateNormal, StatsError};
+use crate::{check_finite_matrix, GramMatrix, Kernel, StatsError};
 
 /// Master seed for every deterministic random choice the approximation
-/// layer makes (landmark selection, Fourier feature draws). Forked per
+/// layer makes (landmark selection). Forked per
 /// fit via [`approx_fit_seed`] so distinct population sizes decorrelate.
 pub(crate) const APPROX_SEED: u64 = 0x51DE_F9A9_0C85_EED5;
 
@@ -54,8 +47,8 @@ const FEATURE_SMO_INNER: usize = 8;
 /// Kernel-approximation policy for the Gram-matrix consumers (OCSVM
 /// training, KMM weight solve).
 ///
-/// `Exact` is the historical dense path, unchanged bit-for-bit. The two
-/// approximate variants trade a bounded amount of accuracy for
+/// `Exact` is the historical dense path, unchanged bit-for-bit. The
+/// Nyström variant trades a bounded amount of accuracy for
 /// sub-quadratic cost; see the crate's accuracy property-tests for the
 /// bounds that are pinned. `Auto` (the default) stays exact up to
 /// [`KernelApprox::AUTO_EXACT_LIMIT`] rows and only switches above that,
@@ -71,16 +64,9 @@ pub enum KernelApprox {
         /// Number of landmark rows (and feature dimensions).
         rank: usize,
     },
-    /// Random Fourier features (RBF kernels only) with the given number
-    /// of cosine features.
-    Rff {
-        /// Number of random Fourier features `D`.
-        features: usize,
-    },
     /// Size-threshold policy: exact up to
     /// [`KernelApprox::AUTO_EXACT_LIMIT`] rows, then
-    /// [`KernelApprox::Rff`] for RBF kernels and [`KernelApprox::Nystrom`]
-    /// for everything else.
+    /// [`KernelApprox::Nystrom`] at [`KernelApprox::AUTO_NYSTROM_RANK`].
     #[default]
     Auto,
 }
@@ -91,50 +77,32 @@ impl KernelApprox {
     /// a run that previously fit the dense path.
     pub const AUTO_EXACT_LIMIT: usize = 4096;
 
-    /// Feature count the `Auto` policy picks for RBF kernels.
-    pub const AUTO_RFF_FEATURES: usize = 256;
-
-    /// Landmark rank the `Auto` policy picks for non-RBF kernels.
+    /// Landmark rank the `Auto` policy picks above the exact limit.
     pub const AUTO_NYSTROM_RANK: usize = 128;
 
     /// Validates the policy parameters.
     ///
     /// # Errors
     ///
-    /// Returns [`StatsError::InvalidParameter`] for a zero rank or zero
-    /// feature count.
+    /// Returns [`StatsError::InvalidParameter`] for a zero rank.
     pub fn validate(&self) -> Result<(), StatsError> {
         match *self {
             KernelApprox::Nystrom { rank: 0 } => Err(StatsError::InvalidParameter {
                 name: "approx.rank",
                 reason: "Nyström rank must be at least 1".into(),
             }),
-            KernelApprox::Rff { features: 0 } => Err(StatsError::InvalidParameter {
-                name: "approx.features",
-                reason: "RFF feature count must be at least 1".into(),
-            }),
             _ => Ok(()),
         }
     }
 
-    /// Resolves the policy for a fit over `n` rows under `kernel`:
-    /// `Auto` becomes one of the three concrete variants, which pass
-    /// through unchanged.
-    pub fn resolve(&self, n: usize, kernel: &Kernel) -> KernelApprox {
+    /// Resolves the policy for a fit over `n` rows: `Auto` becomes one of
+    /// the two concrete variants, which pass through unchanged.
+    pub fn resolve(&self, n: usize) -> KernelApprox {
         match *self {
-            KernelApprox::Auto => {
-                if n <= Self::AUTO_EXACT_LIMIT {
-                    KernelApprox::Exact
-                } else if matches!(kernel, Kernel::Rbf { .. }) {
-                    KernelApprox::Rff {
-                        features: Self::AUTO_RFF_FEATURES,
-                    }
-                } else {
-                    KernelApprox::Nystrom {
-                        rank: Self::AUTO_NYSTROM_RANK,
-                    }
-                }
-            }
+            KernelApprox::Auto if n <= Self::AUTO_EXACT_LIMIT => KernelApprox::Exact,
+            KernelApprox::Auto => KernelApprox::Nystrom {
+                rank: Self::AUTO_NYSTROM_RANK,
+            },
             concrete => concrete,
         }
     }
@@ -155,27 +123,6 @@ fn select_landmarks(n: usize, rank: usize, seed: u64) -> Vec<usize> {
     out
 }
 
-/// The internals that differ between the two approximation routes.
-#[derive(Debug, Clone)]
-enum MapKind {
-    Nystrom {
-        /// The landmark rows themselves, `r × d`.
-        landmarks: Matrix,
-        /// `U Λ^{-1/2}` of the landmark Gram, `r × r`.
-        factor: Matrix,
-        /// Ascending indices of the landmarks in the fitted data.
-        landmark_indices: Vec<usize>,
-    },
-    Rff {
-        /// Frequency rows `ω_j`, one per feature: `D × d`.
-        omega: Matrix,
-        /// Phase offsets `b_j ∈ [0, 2π)`, one per feature.
-        offsets: Vec<f64>,
-        /// Normalization `√(2/D)`.
-        scale: f64,
-    },
-}
-
 /// An explicit finite-dimensional feature map approximating a kernel:
 /// `k(x, y) ≈ ⟨φ(x), φ(y)⟩`.
 ///
@@ -186,7 +133,13 @@ enum MapKind {
 #[derive(Debug, Clone)]
 pub struct KernelFeatureMap {
     kernel: Kernel,
-    kind: MapKind,
+    /// The landmark rows themselves, `r × d`.
+    landmarks: Matrix,
+    /// `U Λ^{-1/2}` of the landmark Gram, `r × r`.
+    factor: Matrix,
+    /// Ascending indices of the landmarks in the fitted data.
+    landmark_indices: Vec<usize>,
+    /// The embedded fitted data `Φ`, `n × r`.
     features: Matrix,
 }
 
@@ -223,69 +176,10 @@ impl KernelFeatureMap {
         let features = cross.matmul(&factor)?;
         Ok(KernelFeatureMap {
             kernel,
-            kind: MapKind::Nystrom {
-                landmarks,
-                factor,
-                landmark_indices,
-            },
+            landmarks,
+            factor,
+            landmark_indices,
             features,
-        })
-    }
-
-    /// Builds a random-Fourier-feature map with `features` cosine features
-    /// over `data`'s rows. Each feature draws its frequencies and phase
-    /// from its own forked RNG stream, so the map is a pure function of
-    /// `(kernel, data shape, features, seed)` at any thread count.
-    ///
-    /// # Errors
-    ///
-    /// - [`StatsError::InvalidParameter`] if the kernel is not RBF, the
-    ///   feature count is zero, or the data is non-finite.
-    /// - [`StatsError::InsufficientData`] for an empty data matrix.
-    pub fn rff(
-        kernel: Kernel,
-        data: &Matrix,
-        features: usize,
-        seed: u64,
-    ) -> Result<Self, StatsError> {
-        kernel.validate()?;
-        KernelApprox::Rff { features }.validate()?;
-        let Kernel::Rbf { gamma } = kernel else {
-            return Err(StatsError::InvalidParameter {
-                name: "approx",
-                reason: "random Fourier features require an RBF kernel".into(),
-            });
-        };
-        let n = data.nrows();
-        let d = data.ncols();
-        if n == 0 || d == 0 {
-            return Err(StatsError::InsufficientData { needed: 1, got: 0 });
-        }
-        check_finite_matrix("data", data)?;
-        // Bochner: exp(−γ‖δ‖²) = E[cos(ωᵀδ)] for ω ~ N(0, 2γ I).
-        let sd = (2.0 * gamma).sqrt();
-        let draws: Vec<Vec<f64>> = sidefp_parallel::map_indexed(features, |j| {
-            let mut rng = StdRng::seed_from_u64(sidefp_parallel::fork_seed(seed, j as u64));
-            let mut vals = Vec::with_capacity(d + 1);
-            for _ in 0..d {
-                vals.push(MultivariateNormal::standard_normal(&mut rng) * sd);
-            }
-            let u: f64 = rng.random();
-            vals.push(u * std::f64::consts::TAU);
-            vals
-        });
-        let omega = Matrix::from_fn(features, d, |j, t| draws[j][t]);
-        let offsets: Vec<f64> = draws.iter().map(|v| v[d]).collect();
-        let scale = (2.0 / features as f64).sqrt();
-        let features_mat = rff_embed(&omega, &offsets, scale, data)?;
-        Ok(KernelFeatureMap {
-            kernel,
-            kind: MapKind::Rff {
-                omega,
-                offsets,
-                scale,
-            },
-            features: features_mat,
         })
     }
 
@@ -314,14 +208,9 @@ impl KernelFeatureMap {
         self.features.nrows() == 0
     }
 
-    /// Ascending landmark indices (Nyström maps only).
-    pub fn landmark_indices(&self) -> Option<&[usize]> {
-        match &self.kind {
-            MapKind::Nystrom {
-                landmark_indices, ..
-            } => Some(landmark_indices),
-            MapKind::Rff { .. } => None,
-        }
+    /// Ascending indices of the landmark rows in the fitted data.
+    pub fn landmark_indices(&self) -> &[usize] {
+        &self.landmark_indices
     }
 
     /// Embeds new rows into the feature space: returns `Φ(x)` with one
@@ -332,27 +221,8 @@ impl KernelFeatureMap {
     /// Returns [`StatsError::DimensionMismatch`] if `x`'s column count
     /// differs from the fitted data's.
     pub fn embed_rows(&self, x: &Matrix) -> Result<Matrix, StatsError> {
-        match &self.kind {
-            MapKind::Nystrom {
-                landmarks, factor, ..
-            } => {
-                let cross = GramMatrix::cross(self.kernel, x, landmarks)?;
-                Ok(cross.matmul(factor)?)
-            }
-            MapKind::Rff {
-                omega,
-                offsets,
-                scale,
-            } => {
-                if x.ncols() != omega.ncols() {
-                    return Err(StatsError::DimensionMismatch {
-                        expected: omega.ncols(),
-                        got: x.ncols(),
-                    });
-                }
-                rff_embed(omega, offsets, *scale, x)
-            }
-        }
+        let cross = GramMatrix::cross(self.kernel, x, &self.landmarks)?;
+        Ok(cross.matmul(&self.factor)?)
     }
 
     /// Squared feature norms `‖φ_i‖²` of the fitted rows — the diagonal of
@@ -373,80 +243,18 @@ impl KernelFeatureMap {
         Ok(self.features.matmul_nt(&self.features)?)
     }
 
-    /// Converts a feature-space linear functional `w` into the standalone
-    /// parts of a decision function `f(x) = ⟨w, φ(x)⟩`:
-    ///
-    /// - Nyström collapses exactly to a kernel expansion over the
-    ///   landmarks (`coeffs = U Λ^{-1/2} w`), the same form as an exact
-    ///   SVM's support-vector expansion;
-    /// - RFF keeps `w` and hands back the feature parameters.
+    /// Collapses a feature-space linear functional `w` onto the kernel
+    /// expansion it equals exactly: `f(x) = ⟨w, φ(x)⟩ =
+    /// Σ_l coeffs_l · k(landmark_l, x)` with `coeffs = U Λ^{-1/2} w` —
+    /// the same form as an exact SVM's support-vector expansion. Returns
+    /// `(points, coeffs)`.
     ///
     /// # Errors
     ///
     /// Returns [`StatsError::Linalg`] on a `w` length mismatch.
-    pub(crate) fn decision_parts(&self, w: &[f64]) -> Result<DecisionParts, StatsError> {
-        match &self.kind {
-            MapKind::Nystrom {
-                landmarks, factor, ..
-            } => Ok(DecisionParts::Expansion {
-                points: landmarks.clone(),
-                coeffs: factor.matvec(w)?,
-            }),
-            MapKind::Rff {
-                omega,
-                offsets,
-                scale,
-            } => Ok(DecisionParts::Random {
-                omega: omega.clone(),
-                offsets: offsets.clone(),
-                scale: *scale,
-                w: w.to_vec(),
-            }),
-        }
+    pub(crate) fn decision_expansion(&self, w: &[f64]) -> Result<(Matrix, Vec<f64>), StatsError> {
+        Ok((self.landmarks.clone(), self.factor.matvec(w)?))
     }
-}
-
-/// Standalone decision-function parts produced by
-/// [`KernelFeatureMap::decision_parts`].
-pub(crate) enum DecisionParts {
-    /// `f(x) = Σ_l coeffs_l · k(points_l, x)` — the classic expansion.
-    Expansion {
-        /// Expansion points (the Nyström landmarks).
-        points: Matrix,
-        /// Expansion coefficients.
-        coeffs: Vec<f64>,
-    },
-    /// `f(x) = Σ_j w_j · scale · cos(ω_jᵀx + b_j)` — random features.
-    Random {
-        /// Frequency rows, one per feature.
-        omega: Matrix,
-        /// Phase offsets, one per feature.
-        offsets: Vec<f64>,
-        /// Normalization `√(2/D)`.
-        scale: f64,
-        /// Feature-space weights.
-        w: Vec<f64>,
-    },
-}
-
-/// `cos(X Ωᵀ + b) · scale` — the projection runs on the packed GEMM's
-/// transposed-B path (no materialized `Ωᵀ`), the element-wise cosine map
-/// fans rows out across the worker pool (each output element depends only
-/// on its own row, so the result is bit-identical at any thread count).
-fn rff_embed(
-    omega: &Matrix,
-    offsets: &[f64],
-    scale: f64,
-    x: &Matrix,
-) -> Result<Matrix, StatsError> {
-    let mut p = x.matmul_nt(omega)?;
-    let ncols = p.ncols();
-    sidefp_parallel::for_each_row_mut(p.as_mut_slice(), ncols, |_, row| {
-        for (v, b) in row.iter_mut().zip(offsets) {
-            *v = (*v + b).cos() * scale;
-        }
-    });
-    Ok(p)
 }
 
 /// Sentinel for "no owner" in [`LowRankQ`]'s slot bookkeeping.
@@ -808,45 +616,12 @@ mod tests {
     }
 
     #[test]
-    fn rff_error_shrinks_with_more_features() {
-        let data = sample(30, 5);
-        let kernel = Kernel::Rbf { gamma: 0.5 };
-        let exact = GramMatrix::symmetric(kernel, &data);
-        let err = |features: usize| {
-            let map = KernelFeatureMap::rff(kernel, &data, features, 11).unwrap();
-            let approx = map.approx_gram().unwrap();
-            let mut num = 0.0;
-            let mut den = 0.0;
-            for i in 0..30 {
-                for j in 0..30 {
-                    num += (approx[(i, j)] - exact.matrix()[(i, j)]).powi(2);
-                    den += exact.matrix()[(i, j)].powi(2);
-                }
-            }
-            (num / den).sqrt()
-        };
-        let coarse = err(32);
-        let fine = err(2048);
-        assert!(fine < 0.1, "D=2048 rel error {fine}");
-        assert!(fine < coarse, "error should shrink: {coarse} -> {fine}");
-    }
-
-    #[test]
-    fn rff_rejects_non_rbf_kernels() {
-        let data = sample(6, 2);
-        assert!(matches!(
-            KernelFeatureMap::rff(Kernel::Linear, &data, 8, 1),
-            Err(StatsError::InvalidParameter { .. })
-        ));
-    }
-
-    #[test]
     fn embed_rows_matches_fitted_features() {
         let data = sample(12, 3);
         let kernel = Kernel::Rbf { gamma: 0.9 };
         for map in [
             KernelFeatureMap::nystrom(kernel, &data, 8, 5).unwrap(),
-            KernelFeatureMap::rff(kernel, &data, 16, 5).unwrap(),
+            KernelFeatureMap::nystrom(kernel, &data, 12, 6).unwrap(),
         ] {
             let re = map.embed_rows(&data).unwrap();
             assert_eq!(re.shape(), map.features().shape());
@@ -865,35 +640,25 @@ mod tests {
 
     #[test]
     fn auto_policy_resolution() {
-        let rbf = Kernel::Rbf { gamma: 1.0 };
         assert_eq!(
-            KernelApprox::Auto.resolve(1000, &rbf),
+            KernelApprox::Auto.resolve(1000),
             KernelApprox::Exact,
             "paper-scale populations stay exact"
         );
         assert_eq!(
-            KernelApprox::Auto.resolve(KernelApprox::AUTO_EXACT_LIMIT, &rbf),
+            KernelApprox::Auto.resolve(KernelApprox::AUTO_EXACT_LIMIT),
             KernelApprox::Exact
         );
         assert_eq!(
-            KernelApprox::Auto.resolve(KernelApprox::AUTO_EXACT_LIMIT + 1, &rbf),
-            KernelApprox::Rff {
-                features: KernelApprox::AUTO_RFF_FEATURES
-            }
-        );
-        assert_eq!(
-            KernelApprox::Auto.resolve(10_000, &Kernel::Linear),
+            KernelApprox::Auto.resolve(KernelApprox::AUTO_EXACT_LIMIT + 1),
             KernelApprox::Nystrom {
                 rank: KernelApprox::AUTO_NYSTROM_RANK
             }
         );
         // Concrete variants pass through.
+        assert_eq!(KernelApprox::Exact.resolve(1_000_000), KernelApprox::Exact);
         assert_eq!(
-            KernelApprox::Exact.resolve(1_000_000, &rbf),
-            KernelApprox::Exact
-        );
-        assert_eq!(
-            KernelApprox::Nystrom { rank: 64 }.resolve(10, &rbf),
+            KernelApprox::Nystrom { rank: 64 }.resolve(10),
             KernelApprox::Nystrom { rank: 64 }
         );
     }
@@ -901,7 +666,6 @@ mod tests {
     #[test]
     fn zero_parameters_are_rejected() {
         assert!(KernelApprox::Nystrom { rank: 0 }.validate().is_err());
-        assert!(KernelApprox::Rff { features: 0 }.validate().is_err());
         assert!(KernelApprox::Auto.validate().is_ok());
         assert!(KernelApprox::Exact.validate().is_ok());
     }
@@ -1007,7 +771,7 @@ mod tests {
     #[test]
     fn feature_smo_bit_identical_across_thread_counts() {
         let data = sample(80, 4);
-        let map = KernelFeatureMap::rff(Kernel::Rbf { gamma: 0.4 }, &data, 64, 21).unwrap();
+        let map = KernelFeatureMap::nystrom(Kernel::Rbf { gamma: 0.4 }, &data, 64, 21).unwrap();
         let config = SmoConfig {
             upper: 1.0 / (0.1 * 80.0),
             tol: 1e-7,
@@ -1032,7 +796,7 @@ mod tests {
         type MapBuilder = Box<dyn Fn(&Matrix) -> KernelFeatureMap>;
         let builders: [MapBuilder; 2] = [
             Box::new(move |d| KernelFeatureMap::nystrom(kernel, d, 16, 31).unwrap()),
-            Box::new(move |d| KernelFeatureMap::rff(kernel, d, 48, 31).unwrap()),
+            Box::new(move |d| KernelFeatureMap::nystrom(kernel, d, 48, 31).unwrap()),
         ];
         for build in builders {
             let one = sidefp_parallel::with_threads(1, || build(&data));

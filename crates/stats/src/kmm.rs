@@ -23,8 +23,8 @@ pub struct KmmConfig {
     pub band: Option<f64>,
     /// Iteration budget for the projected-gradient QP.
     pub max_iter: usize,
-    /// Kernel evaluation strategy: exact Gram matrices, or a sub-quadratic
-    /// low-rank approximation. The default [`KernelApprox::Auto`] keeps
+    /// Kernel evaluation strategy: exact Gram matrices, or the
+    /// sub-quadratic Nyström approximation. The default [`KernelApprox::Auto`] keeps
     /// populations up to [`KernelApprox::AUTO_EXACT_LIMIT`] training rows
     /// on the exact path, so existing pipelines are value-identical.
     pub approx: KernelApprox,
@@ -84,7 +84,7 @@ pub struct KernelMeanMatching {
 enum KmmBacking {
     /// The full train-side Gram matrix (exact path).
     Exact(GramMatrix),
-    /// The low-rank feature map (Nyström / RFF path); the train-side
+    /// The Nyström feature map (low-rank path); the train-side
     /// features `Φ` stand in for the Gram matrix as `K ≈ ΦΦᵀ`.
     LowRank(KernelFeatureMap),
 }
@@ -176,14 +176,11 @@ impl KernelMeanMatching {
         // Route the QP: exact Gram matrices, or the low-rank factorization
         // K ≈ ΦΦᵀ with O(n·rank) mat-vecs instead of O(n²). The low-rank
         // seed is forked off the OCSVM's fit-seed stream so the two solvers
-        // never share feature draws.
+        // never share landmark draws.
         let seed = sidefp_parallel::fork_seed(approx::approx_fit_seed(ntr), 1);
-        let map = match config.approx.resolve(ntr, &kernel) {
+        let map = match config.approx.resolve(ntr) {
             KernelApprox::Nystrom { rank } => {
                 Some(KernelFeatureMap::nystrom(kernel, train, rank, seed)?)
-            }
-            KernelApprox::Rff { features } => {
-                Some(KernelFeatureMap::rff(kernel, train, features, seed)?)
             }
             _ => None,
         };
@@ -761,7 +758,7 @@ mod tests {
         let (tr, te) = shifted_sets(12);
         for approx in [
             KernelApprox::Nystrom { rank: 30 },
-            KernelApprox::Rff { features: 512 },
+            KernelApprox::Nystrom { rank: 8 },
         ] {
             let cfg = KmmConfig {
                 approx,
@@ -820,7 +817,7 @@ mod tests {
     fn low_rank_fit_bit_identical_across_thread_counts() {
         let (tr, te) = shifted_sets(14);
         let cfg = KmmConfig {
-            approx: KernelApprox::Rff { features: 128 },
+            approx: KernelApprox::Nystrom { rank: 32 },
             ..Default::default()
         };
         let reference =
@@ -836,7 +833,7 @@ mod tests {
     fn rejects_invalid_approx_config() {
         let (tr, te) = shifted_sets(15);
         let cfg = KmmConfig {
-            approx: KernelApprox::Rff { features: 0 },
+            approx: KernelApprox::Nystrom { rank: 0 },
             ..Default::default()
         };
         assert!(KernelMeanMatching::fit(&tr, &te, &cfg).is_err());

@@ -90,7 +90,7 @@ pub use scaler::StandardScaler;
 pub use sidefp_obs::{RunContext, SolverHealth};
 pub use state::{
     regressor_from_state, KdeState, KnnState, MarsBasisState, MarsState, RegressorState,
-    RidgeState, ScalerState, SvmDecisionState, SvmState,
+    RidgeState, ScalerState, SvmState,
 };
 
 // Re-export the linalg error so `?` conversions read naturally downstream.

@@ -1,9 +1,9 @@
 use sidefp_linalg::{gemm, vecops, Matrix};
 use sidefp_obs::RunContext;
 
-use crate::approx::{self, DecisionParts, KernelApprox, KernelFeatureMap};
+use crate::approx::{self, KernelApprox, KernelFeatureMap};
 use crate::qp::{SmoConfig, SmoSolver};
-use crate::state::{SvmDecisionState, SvmState};
+use crate::state::SvmState;
 use crate::{
     check_finite_matrix, check_finite_rows, check_finite_slice, GramMatrix, Kernel, KernelRowCache,
     StatsError,
@@ -36,8 +36,7 @@ pub struct OneClassSvmConfig {
     /// Iteration budget of the SMO solver.
     pub max_iter: usize,
     /// Kernel evaluation strategy: exact Gram rows, or a sub-quadratic
-    /// low-rank approximation (Nyström / random Fourier features). The
-    /// default [`KernelApprox::Auto`] keeps every population up to
+    /// Nyström low-rank approximation. The default [`KernelApprox::Auto`] keeps every population up to
     /// [`KernelApprox::AUTO_EXACT_LIMIT`] rows on the exact path, so
     /// existing pipelines are value-identical.
     pub approx: KernelApprox,
@@ -72,7 +71,12 @@ impl Default for OneClassSvmConfig {
 /// See the [crate-level example](crate).
 #[derive(Debug, Clone)]
 pub struct OneClassSvm {
-    model: DecisionModel,
+    /// Expansion points of `f(x) = Σ_l coeffs_l · k(points_l, x) − ρ`:
+    /// the support vectors of an exact fit, the landmarks of a Nyström
+    /// fit (whose feature-space weights collapse onto them exactly).
+    points: Matrix,
+    /// Expansion coefficients, one per point row.
+    coeffs: Vec<f64>,
     rho: f64,
     kernel: Kernel,
     input_dim: usize,
@@ -83,30 +87,12 @@ pub struct OneClassSvm {
     /// The full dual iterate `α` the SMO solve ended on (all `n` training
     /// coordinates, not just support vectors). Preserved so a later fit on
     /// drifted-but-similar data can warm-start near this optimum; empty on
-    /// the low-rank approximation paths, whose feature-space decomposition
+    /// the Nyström approximation path, whose feature-space decomposition
     /// solver keeps its own working-set state.
     dual_alpha: Vec<f64>,
     /// Pairwise SMO updates the fit consumed — the cost figure warm-start
     /// callers compare against a cold fit.
     solve_iterations: usize,
-}
-
-/// How a trained boundary evaluates `Σ_i α_i k(x_i, x)`.
-///
-/// The exact and Nyström paths both use the classic kernel expansion
-/// (Nyström collapses its feature-space weight vector back onto the
-/// landmarks exactly); the RFF path keeps the explicit random feature map.
-#[derive(Debug, Clone)]
-enum DecisionModel {
-    /// `f(x) = Σ_l coeffs_l · k(points_l, x) − ρ`.
-    KernelExpansion { points: Matrix, coeffs: Vec<f64> },
-    /// `f(x) = Σ_j w_j · scale · cos(ω_jᵀx + b_j) − ρ`.
-    RandomFeatures {
-        omega: Matrix,
-        offsets: Vec<f64>,
-        scale: f64,
-        w: Vec<f64>,
-    },
 }
 
 impl OneClassSvm {
@@ -150,7 +136,7 @@ impl OneClassSvm {
     /// defined by the KKT conditions of the *new* data, so a converged warm
     /// fit matches a cold fit up to solver tolerance.
     ///
-    /// On the low-rank approximation paths the start is ignored and the fit
+    /// On the Nyström approximation path the start is ignored and the fit
     /// behaves exactly like [`OneClassSvm::fit_observed`].
     ///
     /// # Errors
@@ -210,23 +196,12 @@ impl OneClassSvm {
         // DENSE_GRAM_LIMIT, memory-bounded kernel-row cache beyond), or a
         // low-rank feature map solved in feature space — O(n·rank) per
         // sweep instead of O(n²).
-        let resolved = config.approx.resolve(n, &config.kernel);
-        let (sol, map) = match resolved {
+        let (sol, map) = match config.approx.resolve(n) {
             KernelApprox::Nystrom { rank } => {
                 let map = KernelFeatureMap::nystrom(
                     config.kernel,
                     data,
                     rank,
-                    approx::approx_fit_seed(n),
-                )?;
-                let sol = approx::solve_feature_smo(map.features(), &smo_cfg)?;
-                (sol, Some(map))
-            }
-            KernelApprox::Rff { features } => {
-                let map = KernelFeatureMap::rff(
-                    config.kernel,
-                    data,
-                    features,
                     approx::approx_fit_seed(n),
                 )?;
                 let sol = approx::solve_feature_smo(map.features(), &smo_cfg)?;
@@ -283,36 +258,18 @@ impl OneClassSvm {
 
         // Keep only support vectors for prediction.
         let sv_idx: Vec<usize> = (0..n).filter(|&i| sol.alpha[i] > margin_tol).collect();
-        let model = match &map {
-            None => DecisionModel::KernelExpansion {
-                points: data.select_rows(&sv_idx),
-                coeffs: sv_idx.iter().map(|&i| sol.alpha[i]).collect(),
-            },
-            Some(map) => {
-                // Feature-space weights w = Φᵀα, collapsed onto whatever
-                // standalone form the map supports.
-                let w = map.features().vecmat(&sol.alpha)?;
-                match map.decision_parts(&w)? {
-                    DecisionParts::Expansion { points, coeffs } => {
-                        DecisionModel::KernelExpansion { points, coeffs }
-                    }
-                    DecisionParts::Random {
-                        omega,
-                        offsets,
-                        scale,
-                        w,
-                    } => DecisionModel::RandomFeatures {
-                        omega,
-                        offsets,
-                        scale,
-                        w,
-                    },
-                }
-            }
+        let (points, coeffs) = match &map {
+            None => (
+                data.select_rows(&sv_idx),
+                sv_idx.iter().map(|&i| sol.alpha[i]).collect(),
+            ),
+            // Feature-space weights w = Φᵀα, collapsed onto the landmarks.
+            Some(map) => map.decision_expansion(&map.features().vecmat(&sol.alpha)?)?,
         };
 
         Ok(OneClassSvm {
-            model,
+            points,
+            coeffs,
             rho,
             kernel: config.kernel,
             input_dim: data.ncols(),
@@ -344,23 +301,7 @@ impl OneClassSvm {
 
     /// Decision value without the dimension check (callers validate once).
     fn decision_value(&self, x: &[f64]) -> f64 {
-        let sum: f64 = match &self.model {
-            DecisionModel::KernelExpansion { points, coeffs } => {
-                self.kernel_expansion_sum(points, coeffs, x)
-            }
-            DecisionModel::RandomFeatures {
-                omega,
-                offsets,
-                scale,
-                w,
-            } => omega
-                .rows_iter()
-                .zip(offsets)
-                .zip(w)
-                .map(|((om, b), wj)| wj * (vecops::dot(om, x) + b).cos() * scale)
-                .sum(),
-        };
-        sum - self.rho
+        self.kernel_expansion_sum(x) - self.rho
     }
 
     /// The support-vector kernel sum `Σ αᵢ·k(svᵢ, x)`.
@@ -376,8 +317,9 @@ impl OneClassSvm {
     /// which gives the scalar map instruction-level parallelism the
     /// one-at-a-time loop cannot. The weighted sum folds strips in
     /// ascending support-vector order with a single accumulator.
-    fn kernel_expansion_sum(&self, points: &Matrix, coeffs: &[f64], x: &[f64]) -> f64 {
+    fn kernel_expansion_sum(&self, x: &[f64]) -> f64 {
         const DECISION_STRIP: usize = 64;
+        let (points, coeffs) = (&self.points, &self.coeffs);
         let Kernel::Rbf { gamma } = self.kernel else {
             return points
                 .rows_iter()
@@ -470,7 +412,7 @@ impl OneClassSvm {
     /// flat buffer so callers can score caller-owned scratch. RBF kernel
     /// expansions run through the chunked packed-GEMM driver
     /// ([`gemm::rbf_expansion_rows`]), whose scratch comes from the
-    /// thread-local panel pool; every other representation uses the
+    /// thread-local panel pool; every other kernel uses the
     /// allocation-free pointwise sum. Either way the steady state performs
     /// zero heap allocations and values are bit-identical to
     /// [`OneClassSvm::decision_function`] row by row.
@@ -489,13 +431,11 @@ impl OneClassSvm {
             });
         }
         check_finite_rows("x", x, d)?;
-        if let (DecisionModel::KernelExpansion { points, coeffs }, Kernel::Rbf { gamma }) =
-            (&self.model, self.kernel)
-        {
+        if let Kernel::Rbf { gamma } = self.kernel {
             // Batched fused path: chunked packed GEMM + RBF epilogue +
             // coefficient fold, bit-identical to the pointwise loop below
             // (both run the same identity-form per-pair arithmetic).
-            gemm::rbf_expansion_rows(x, points, gamma, coeffs, out);
+            gemm::rbf_expansion_rows(x, &self.points, gamma, &self.coeffs, out);
             for o in out.iter_mut() {
                 *o -= self.rho;
             }
@@ -508,9 +448,9 @@ impl OneClassSvm {
     }
 
     /// Number of support vectors (training points with `α` above the
-    /// margin tolerance). On approximate paths the decision function may be
-    /// represented more compactly (landmarks or random features), but this
-    /// count still reflects the ν-property of the fitted dual.
+    /// margin tolerance). On the Nyström path the decision function is
+    /// expanded over the landmarks instead, but this count still reflects
+    /// the ν-property of the fitted dual.
     pub fn support_vector_count(&self) -> usize {
         self.support_count
     }
@@ -550,23 +490,8 @@ impl OneClassSvm {
     /// decision values are bit-identical.
     pub fn export_state(&self) -> SvmState {
         SvmState {
-            decision: match &self.model {
-                DecisionModel::KernelExpansion { points, coeffs } => SvmDecisionState::Expansion {
-                    points: points.clone(),
-                    coeffs: coeffs.clone(),
-                },
-                DecisionModel::RandomFeatures {
-                    omega,
-                    offsets,
-                    scale,
-                    w,
-                } => SvmDecisionState::RandomFeatures {
-                    omega: omega.clone(),
-                    offsets: offsets.clone(),
-                    scale: *scale,
-                    w: w.clone(),
-                },
-            },
+            points: self.points.clone(),
+            coeffs: self.coeffs.clone(),
             rho: self.rho,
             kernel: self.kernel,
             input_dim: self.input_dim,
@@ -583,8 +508,8 @@ impl OneClassSvm {
     ///
     /// Returns [`StatsError::InvalidParameter`] when the state is
     /// internally inconsistent: kernel hyper-parameters invalid,
-    /// `ν ∉ (0, 1]`, non-finite values, or decision-representation shapes
-    /// that disagree with `input_dim`.
+    /// `ν ∉ (0, 1]`, non-finite values, or expansion shapes that disagree
+    /// with `input_dim`.
     pub fn from_state(state: SvmState) -> Result<Self, StatsError> {
         state.kernel.validate()?;
         if !(state.nu > 0.0 && state.nu <= 1.0) {
@@ -606,76 +531,32 @@ impl OneClassSvm {
             });
         }
         crate::state::require_finite("svm.dual_alpha", &state.dual_alpha)?;
-        let model = match state.decision {
-            SvmDecisionState::Expansion { points, coeffs } => {
-                if points.nrows() == 0 || points.ncols() != state.input_dim {
-                    return Err(StatsError::InvalidParameter {
-                        name: "svm.points",
-                        reason: format!(
-                            "expected non-empty {}-column matrix, got {}x{}",
-                            state.input_dim,
-                            points.nrows(),
-                            points.ncols()
-                        ),
-                    });
-                }
-                if coeffs.len() != points.nrows() {
-                    return Err(StatsError::InvalidParameter {
-                        name: "svm.coeffs",
-                        reason: format!("{} coeffs vs {} points", coeffs.len(), points.nrows()),
-                    });
-                }
-                check_finite_matrix("svm.points", &points)?;
-                crate::state::require_finite("svm.coeffs", &coeffs)?;
-                DecisionModel::KernelExpansion { points, coeffs }
-            }
-            SvmDecisionState::RandomFeatures {
-                omega,
-                offsets,
-                scale,
-                w,
-            } => {
-                if omega.nrows() == 0 || omega.ncols() != state.input_dim {
-                    return Err(StatsError::InvalidParameter {
-                        name: "svm.omega",
-                        reason: format!(
-                            "expected non-empty {}-column matrix, got {}x{}",
-                            state.input_dim,
-                            omega.nrows(),
-                            omega.ncols()
-                        ),
-                    });
-                }
-                if offsets.len() != omega.nrows() || w.len() != omega.nrows() {
-                    return Err(StatsError::InvalidParameter {
-                        name: "svm.offsets",
-                        reason: format!(
-                            "{} offsets / {} weights vs {} frequencies",
-                            offsets.len(),
-                            w.len(),
-                            omega.nrows()
-                        ),
-                    });
-                }
-                if !scale.is_finite() {
-                    return Err(StatsError::InvalidParameter {
-                        name: "svm.scale",
-                        reason: "must be finite".into(),
-                    });
-                }
-                check_finite_matrix("svm.omega", &omega)?;
-                crate::state::require_finite("svm.offsets", &offsets)?;
-                crate::state::require_finite("svm.w", &w)?;
-                DecisionModel::RandomFeatures {
-                    omega,
-                    offsets,
-                    scale,
-                    w,
-                }
-            }
-        };
+        if state.points.nrows() == 0 || state.points.ncols() != state.input_dim {
+            return Err(StatsError::InvalidParameter {
+                name: "svm.points",
+                reason: format!(
+                    "expected non-empty {}-column matrix, got {}x{}",
+                    state.input_dim,
+                    state.points.nrows(),
+                    state.points.ncols()
+                ),
+            });
+        }
+        if state.coeffs.len() != state.points.nrows() {
+            return Err(StatsError::InvalidParameter {
+                name: "svm.coeffs",
+                reason: format!(
+                    "{} coeffs vs {} points",
+                    state.coeffs.len(),
+                    state.points.nrows()
+                ),
+            });
+        }
+        check_finite_matrix("svm.points", &state.points)?;
+        crate::state::require_finite("svm.coeffs", &state.coeffs)?;
         Ok(OneClassSvm {
-            model,
+            points: state.points,
+            coeffs: state.coeffs,
             rho: state.rho,
             kernel: state.kernel,
             input_dim: state.input_dim,
@@ -916,7 +797,7 @@ mod tests {
         let data = blob(150, 17);
         for approx in [
             KernelApprox::Nystrom { rank: 40 },
-            KernelApprox::Rff { features: 512 },
+            KernelApprox::Nystrom { rank: 150 },
         ] {
             let cfg = OneClassSvmConfig {
                 approx,
@@ -937,13 +818,6 @@ mod tests {
             ..default_cfg()
         };
         assert!(OneClassSvm::fit(&data, &bad).is_err());
-        // RFF requires an RBF kernel.
-        let bad_kernel = OneClassSvmConfig {
-            approx: KernelApprox::Rff { features: 64 },
-            kernel: Kernel::Linear,
-            ..default_cfg()
-        };
-        assert!(OneClassSvm::fit(&data, &bad_kernel).is_err());
     }
 
     #[test]
@@ -958,11 +832,7 @@ mod tests {
     fn state_round_trip_is_bit_identical_on_every_decision_path() {
         let data = blob(120, 19);
         let queries = blob(30, 20);
-        for approx in [
-            KernelApprox::Exact,
-            KernelApprox::Nystrom { rank: 32 },
-            KernelApprox::Rff { features: 256 },
-        ] {
+        for approx in [KernelApprox::Exact, KernelApprox::Nystrom { rank: 32 }] {
             let cfg = OneClassSvmConfig {
                 approx,
                 ..default_cfg()
@@ -999,15 +869,11 @@ mod tests {
         assert!(OneClassSvm::from_state(s).is_err());
 
         let mut s = good.clone();
-        if let SvmDecisionState::Expansion { coeffs, .. } = &mut s.decision {
-            coeffs.pop();
-        }
+        s.coeffs.pop();
         assert!(OneClassSvm::from_state(s).is_err());
 
         let mut s = good;
-        if let SvmDecisionState::Expansion { points, .. } = &mut s.decision {
-            points[(0, 0)] = f64::INFINITY;
-        }
+        s.points[(0, 0)] = f64::INFINITY;
         assert!(OneClassSvm::from_state(s).is_err());
     }
 }

@@ -28,37 +28,15 @@ pub struct ScalerState {
     pub stds: Vec<f64>,
 }
 
-/// How a trained [`crate::OneClassSvm`] evaluates its kernel sum — the
-/// public mirror of the internal decision representation.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SvmDecisionState {
-    /// Classic kernel expansion `f(x) = Σ_l coeffs_l · k(points_l, x) − ρ`
-    /// (exact and Nyström fits).
-    Expansion {
-        /// Support / landmark points, one per row.
-        points: Matrix,
-        /// Expansion coefficients, one per point row.
-        coeffs: Vec<f64>,
-    },
-    /// Random Fourier feature map
-    /// `f(x) = Σ_j w_j · scale · cos(ω_jᵀx + b_j) − ρ` (RFF fits).
-    RandomFeatures {
-        /// Frequency matrix ω, one frequency per row.
-        omega: Matrix,
-        /// Phase offsets `b`, one per frequency.
-        offsets: Vec<f64>,
-        /// Feature-map scale factor.
-        scale: f64,
-        /// Feature-space weights, one per frequency.
-        w: Vec<f64>,
-    },
-}
-
 /// Fitted parameters of a [`crate::OneClassSvm`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SvmState {
-    /// The decision-function representation.
-    pub decision: SvmDecisionState,
+    /// Expansion points of `f(x) = Σ_l coeffs_l · k(points_l, x) − ρ`,
+    /// one per row (support vectors of an exact fit, landmarks of a
+    /// Nyström fit).
+    pub points: Matrix,
+    /// Expansion coefficients, one per point row.
+    pub coeffs: Vec<f64>,
     /// Decision-function offset ρ.
     pub rho: f64,
     /// Kernel the model was trained with.

@@ -59,15 +59,13 @@ if [[ -f BENCH_kernels.json ]]; then
             }
             bad = ""
             if (v["ocsvm_exact_ms"] < floor * v["ocsvm_nystrom_ms"]) bad = bad " ocsvm_nystrom"
-            if (v["ocsvm_exact_ms"] < floor * v["ocsvm_rff_ms"]) bad = bad " ocsvm_rff"
             if (v["kde_dense_eval_ms"] < floor * v["kde_binned_eval_ms"]) bad = bad " kde_binned"
             if (bad != "") {
                 print "bench_gate: FAIL — committed BENCH_kernels.json below " floor "x at n=10000:" bad
                 exit 1
             }
-            printf "bench_gate: kernel baseline OK (n=10000: nystrom %.1fx, rff %.1fx, binned kde %.1fx)\n", \
+            printf "bench_gate: kernel baseline OK (n=10000: nystrom %.1fx, binned kde %.1fx)\n", \
                 v["ocsvm_exact_ms"] / v["ocsvm_nystrom_ms"], \
-                v["ocsvm_exact_ms"] / v["ocsvm_rff_ms"], \
                 v["kde_dense_eval_ms"] / v["kde_binned_eval_ms"]
         }
     ' BENCH_kernels.json

@@ -135,7 +135,7 @@ else
     # class without panicking even in the quick gate.
     cargo test -q -p sidefp-core --test fault_matrix
     # Approximation-accuracy smoke: the sub-quadratic kernel paths
-    # (Nyström / RFF / binned KDE) must stay inside their pinned
+    # (Nyström / binned KDE) must stay inside their pinned
     # approx-vs-exact error bounds and thread-count bit-identity.
     cargo test -q -p sidefp-stats --test approx_accuracy
     # Fit -> save -> load -> score smoke: the artifact codec must

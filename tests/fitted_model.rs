@@ -128,6 +128,68 @@ fn trailing_garbage_is_rejected() {
     ));
 }
 
+/// FNV-1a 64 — the artifact's payload checksum.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Little-endian `len` prefix plus the values' bit patterns — the codec's
+/// float-vector encoding.
+fn encode_f64s(out: &mut Vec<u8>, v: &[f64]) {
+    out.extend_from_slice(&(v.len() as u64).to_le_bytes());
+    for x in v {
+        out.extend_from_slice(&x.to_bits().to_le_bytes());
+    }
+}
+
+fn encode_matrix(out: &mut Vec<u8>, m: &sidefp_linalg::Matrix) {
+    out.extend_from_slice(&(m.nrows() as u64).to_le_bytes());
+    out.extend_from_slice(&(m.ncols() as u64).to_le_bytes());
+    for x in m.as_slice() {
+        out.extend_from_slice(&x.to_bits().to_le_bytes());
+    }
+}
+
+#[test]
+fn retired_svm_decision_tag_is_rejected_as_invalid() {
+    // Rewrite B1's decision block from the kernel expansion (tag 0:
+    // points, coeffs) into the retired random-feature layout (tag 1:
+    // frequencies, offsets, scale, weights), with a valid length header
+    // and checksum, so only the decision tag can reject it.
+    let (model, bytes) = fitted();
+    let state = model.boundaries()[0].svm().export_state();
+    let mut expansion = vec![0u8];
+    encode_matrix(&mut expansion, &state.points);
+    encode_f64s(&mut expansion, &state.coeffs);
+    let mut retired = vec![1u8];
+    encode_matrix(&mut retired, &state.points);
+    encode_f64s(&mut retired, &state.coeffs);
+    retired.extend_from_slice(&1.0f64.to_bits().to_le_bytes());
+    encode_f64s(&mut retired, &state.coeffs);
+
+    let payload = &bytes[16..bytes.len() - 8];
+    let at = payload
+        .windows(expansion.len())
+        .position(|w| w == expansion.as_slice())
+        .expect("B1 expansion block present in the payload");
+    let mut spliced = payload[..at].to_vec();
+    spliced.extend_from_slice(&retired);
+    spliced.extend_from_slice(&payload[at + expansion.len()..]);
+    let mut artifact = bytes[..8].to_vec();
+    artifact.extend_from_slice(&(spliced.len() as u64).to_le_bytes());
+    artifact.extend_from_slice(&spliced);
+    artifact.extend_from_slice(&fnv1a64(&spliced).to_le_bytes());
+
+    match FittedModel::from_bytes(&artifact) {
+        Err(ArtifactError::Invalid { what }) => {
+            assert!(what.contains("SVM decision tag 1"), "{what}");
+        }
+        other => panic!("expected Invalid for decision tag 1, got {other:?}"),
+    }
+}
+
 #[test]
 fn load_surfaces_io_errors_with_the_path() {
     match FittedModel::load("/nonexistent/fitted_model.sfpa") {
